@@ -162,32 +162,11 @@ func (d *DWConv2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	ow := tensor.ConvOutSize(w, d.Kernel, d.Stride, d.Pad)
 	out := tensor.New(n, d.C, oh, ow)
 	xd, od, wd := x.Data(), out.Data(), d.Weight.Value.Data()
-	k := d.Kernel
-	for ni := 0; ni < n; ni++ {
-		for ci := 0; ci < d.C; ci++ {
-			inBase := (ni*d.C + ci) * h * w
-			outBase := (ni*d.C + ci) * oh * ow
-			wBase := ci * k * k
-			for oi := 0; oi < oh; oi++ {
-				for oj := 0; oj < ow; oj++ {
-					var s float32
-					for ki := 0; ki < k; ki++ {
-						ih := oi*d.Stride - d.Pad + ki
-						if ih < 0 || ih >= h {
-							continue
-						}
-						for kj := 0; kj < k; kj++ {
-							iw := oj*d.Stride - d.Pad + kj
-							if iw < 0 || iw >= w {
-								continue
-							}
-							s += xd[inBase+ih*w+iw] * wd[wBase+ki*k+kj]
-						}
-					}
-					od[outBase+oi*ow+oj] = s
-				}
-			}
-		}
+	g := dwGeom{h, w, oh, ow, d.Kernel, d.Stride, d.Pad}
+	kk := d.Kernel * d.Kernel
+	for p := 0; p < n*d.C; p++ {
+		ci := p % d.C
+		dwPlane(od[p*oh*ow:(p+1)*oh*ow], xd[p*h*w:(p+1)*h*w], wd[ci*kk:(ci+1)*kk], &g)
 	}
 	if d.Bias != nil {
 		addChannelBias(out, d.Bias.Value)
@@ -199,6 +178,11 @@ func (d *DWConv2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // Backward propagates grad and accumulates parameter gradients.
+//
+// Every element keeps the accumulation order of a scatter over outputs in
+// raster order: each weight tap sums g·x over (n, oi, oj) ascending, and
+// each dx element sums g·w over its (oi, oj) ascending, which for stride 1
+// is the forward kernel run over grad with the taps reversed.
 func (d *DWConv2d) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if d.lastInput == nil {
 		panic("nn: DWConv2d.Backward called before Forward(train=true)")
@@ -210,40 +194,227 @@ func (d *DWConv2d) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	xd, gd := x.Data(), grad.Data()
 	dxd, dwd := dx.Data(), d.Weight.Grad.Data()
 	wd := d.Weight.Value.Data()
-	k := d.Kernel
-	for ni := 0; ni < n; ni++ {
-		for ci := 0; ci < d.C; ci++ {
-			inBase := (ni*d.C + ci) * h * w
-			outBase := (ni*d.C + ci) * oh * ow
-			wBase := ci * k * k
-			for oi := 0; oi < oh; oi++ {
-				for oj := 0; oj < ow; oj++ {
-					g := gd[outBase+oi*ow+oj]
-					if g == 0 {
-						continue
-					}
-					for ki := 0; ki < k; ki++ {
-						ih := oi*d.Stride - d.Pad + ki
-						if ih < 0 || ih >= h {
-							continue
-						}
-						for kj := 0; kj < k; kj++ {
-							iw := oj*d.Stride - d.Pad + kj
-							if iw < 0 || iw >= w {
-								continue
-							}
-							dwd[wBase+ki*k+kj] += g * xd[inBase+ih*w+iw]
-							dxd[inBase+ih*w+iw] += g * wd[wBase+ki*k+kj]
-						}
-					}
-				}
-			}
+	k, s := d.Kernel, d.Stride
+	kk := k * k
+	fwd := dwGeom{h, w, oh, ow, k, s, d.Pad}
+	bwd := dwGeom{oh, ow, h, w, k, 1, k - 1 - d.Pad} // dx as a stride-1 pass over grad
+	flipped := make([]float32, len(wd))
+	for i := range flipped {
+		flipped[i] = wd[i-i%kk+kk-1-i%kk]
+	}
+	for p := 0; p < n*d.C; p++ {
+		ci := p % d.C
+		xp, gp, dxp := xd[p*h*w:(p+1)*h*w], gd[p*oh*ow:(p+1)*oh*ow], dxd[p*h*w:(p+1)*h*w]
+		dwGradWeightPlane(dwd[ci*kk:(ci+1)*kk], gp, xp, &fwd)
+		if s == 1 {
+			dwPlane(dxp, gp, flipped[ci*kk:(ci+1)*kk], &bwd)
+		} else {
+			dwGradInputStrided(dxp, gp, wd[ci*kk:(ci+1)*kk], &fwd)
 		}
 	}
 	if d.Bias != nil {
 		accumulateChannelBiasGrad(d.Bias.Grad, grad)
 	}
 	return dx
+}
+
+// dwGeom is the shape of one depthwise plane pass: an h×w input, an oh×ow
+// output and a k×k kernel at stride s and padding p.
+type dwGeom struct{ h, w, oh, ow, k, s, p int }
+
+// cols returns the output columns [lo, hi) whose kernel column kj lands
+// inside the input.
+func (g *dwGeom) cols(kj int) (lo, hi int) {
+	for lo < g.ow && lo*g.s-g.p+kj < 0 {
+		lo++
+	}
+	hi = g.ow
+	for hi > lo && (hi-1)*g.s-g.p+kj >= g.w {
+		hi--
+	}
+	return lo, hi
+}
+
+// rows returns the in-range kernel rows [lo, hi) of output row oi.
+func (g *dwGeom) rows(oi int) (lo, hi int) {
+	ih := oi*g.s - g.p
+	return max(0, -ih), min(g.k, g.h-ih)
+}
+
+// interior3 reports whether output row oi of a 3×3 kernel has all three
+// kernel rows in range, so dwRow3 and dwGradWeightRow3 can take it.
+func (g *dwGeom) interior3(oi int) bool {
+	ih := oi*g.s - g.p
+	return g.k == 3 && ih >= 0 && ih+3 <= g.h
+}
+
+// dwPlane writes one plane of a depthwise convolution into the zeroed out:
+// each output sums x·w over its in-range taps from +0 in (ki, kj)
+// ascending order.
+func dwPlane(out, x, wt []float32, g *dwGeom) {
+	for oi := 0; oi < g.oh; oi++ {
+		row := out[oi*g.ow : (oi+1)*g.ow]
+		if g.interior3(oi) {
+			dwRow3(row, x[(oi*g.s-g.p)*g.w:], wt, g.w, g.s, g.p)
+		} else {
+			dwRowClipped(row, x, wt, g, oi)
+		}
+	}
+}
+
+// dwRowClipped accumulates output row oi tap by tap, each over the
+// output columns it reaches, in (ki, kj) ascending order; row must be zero.
+func dwRowClipped(row, x, wt []float32, g *dwGeom, oi int) {
+	ka, kb := g.rows(oi)
+	for ki := ka; ki < kb; ki++ {
+		xr := x[(oi*g.s-g.p+ki)*g.w:][:g.w]
+		for kj := 0; kj < g.k; kj++ {
+			wv := wt[ki*g.k+kj]
+			lo, hi := g.cols(kj)
+			for oj := lo; oj < hi; oj++ {
+				row[oj] += xr[oj*g.s-g.p+kj] * wv
+			}
+		}
+	}
+}
+
+// dwRow3 writes an output row of a 3×3 plane whose three input rows, w
+// apart from top, are all in range. Interior columns run the nine taps
+// straight through with the weights in registers; border columns skip
+// the taps that fall outside the row.
+func dwRow3(dst, top, wt []float32, w, s, p int) {
+	wt = wt[:9]
+	w00, w01, w02 := wt[0], wt[1], wt[2]
+	w10, w11, w12 := wt[3], wt[4], wt[5]
+	w20, w21, w22 := wt[6], wt[7], wt[8]
+	r0, r1, r2 := top[:w], top[w:2*w], top[2*w:3*w]
+	for j := range dst {
+		c := j*s - p
+		var v float32
+		if c >= 0 && c+3 <= w {
+			a, b, e := r0[c:c+3:c+3], r1[c:c+3:c+3], r2[c:c+3:c+3]
+			v += a[0] * w00
+			v += a[1] * w01
+			v += a[2] * w02
+			v += b[0] * w10
+			v += b[1] * w11
+			v += b[2] * w12
+			v += e[0] * w20
+			v += e[1] * w21
+			v += e[2] * w22
+			dst[j] = v
+			continue
+		}
+		in0, in1, in2 := c >= 0 && c < w, c+1 >= 0 && c+1 < w, c+2 >= 0 && c+2 < w
+		for ki, r := range [3][]float32{r0, r1, r2} {
+			if in0 {
+				v += r[c] * wt[3*ki]
+			}
+			if in1 {
+				v += r[c+1] * wt[3*ki+1]
+			}
+			if in2 {
+				v += r[c+2] * wt[3*ki+2]
+			}
+		}
+		dst[j] = v
+	}
+}
+
+// dwGradWeightPlane adds one plane's contribution to its channel's k×k
+// weight gradient: each tap's running sum takes g·x over its in-range
+// outputs in raster order.
+func dwGradWeightPlane(dw, gp, x []float32, g *dwGeom) {
+	for oi := 0; oi < g.oh; oi++ {
+		row := gp[oi*g.ow : (oi+1)*g.ow]
+		if g.interior3(oi) {
+			dwGradWeightRow3(dw, row, x[(oi*g.s-g.p)*g.w:], g.w, g.s, g.p)
+		} else {
+			dwGradWeightRowClipped(dw, row, x, g, oi)
+		}
+	}
+}
+
+// dwGradWeightRowClipped adds output row oi to each in-range tap's sum.
+func dwGradWeightRowClipped(dw, gr, x []float32, g *dwGeom, oi int) {
+	ka, kb := g.rows(oi)
+	for ki := ka; ki < kb; ki++ {
+		xr := x[(oi*g.s-g.p+ki)*g.w:][:g.w]
+		for kj := 0; kj < g.k; kj++ {
+			acc := dw[ki*g.k+kj]
+			lo, hi := g.cols(kj)
+			for oj := lo; oj < hi; oj++ {
+				acc += gr[oj] * xr[oj*g.s-g.p+kj]
+			}
+			dw[ki*g.k+kj] = acc
+		}
+	}
+}
+
+// dwGradWeightRow3 adds an output row of a 3×3 plane, laid out as in
+// dwRow3, to the nine tap sums, which it keeps in registers.
+func dwGradWeightRow3(dw, gr, top []float32, w, s, p int) {
+	dw = dw[:9]
+	a0, a1, a2, a3, a4, a5, a6, a7, a8 := dw[0], dw[1], dw[2], dw[3], dw[4], dw[5], dw[6], dw[7], dw[8]
+	r0, r1, r2 := top[:w], top[w:2*w], top[2*w:3*w]
+	for j, gv := range gr {
+		c := j*s - p
+		if c >= 0 && c+3 <= w {
+			a, b, e := r0[c:c+3:c+3], r1[c:c+3:c+3], r2[c:c+3:c+3]
+			a0 += gv * a[0]
+			a1 += gv * a[1]
+			a2 += gv * a[2]
+			a3 += gv * b[0]
+			a4 += gv * b[1]
+			a5 += gv * b[2]
+			a6 += gv * e[0]
+			a7 += gv * e[1]
+			a8 += gv * e[2]
+			continue
+		}
+		if c >= 0 && c < w {
+			a0 += gv * r0[c]
+			a3 += gv * r1[c]
+			a6 += gv * r2[c]
+		}
+		if c+1 >= 0 && c+1 < w {
+			a1 += gv * r0[c+1]
+			a4 += gv * r1[c+1]
+			a7 += gv * r2[c+1]
+		}
+		if c+2 >= 0 && c+2 < w {
+			a2 += gv * r0[c+2]
+			a5 += gv * r1[c+2]
+			a8 += gv * r2[c+2]
+		}
+	}
+	dw[0], dw[1], dw[2], dw[3], dw[4], dw[5], dw[6], dw[7], dw[8] = a0, a1, a2, a3, a4, a5, a6, a7, a8
+}
+
+// dwGradInputStrided gathers one plane's dx for stride > 1 (g is the
+// forward geometry): each element sums grad·w over the outputs its taps
+// reach, in (oi, oj) ascending order.
+func dwGradInputStrided(dx, gp, wt []float32, g *dwGeom) {
+	k, s, p := g.k, g.s, g.p
+	for ih := 0; ih < g.h; ih++ {
+		for iw := 0; iw < g.w; iw++ {
+			var v float32
+			for ki := k - 1; ki >= 0; ki-- {
+				t := ih + p - ki
+				if t < 0 || t%s != 0 || t/s >= g.oh {
+					continue
+				}
+				for kj := k - 1; kj >= 0; kj-- {
+					u := iw + p - kj
+					if u < 0 || u%s != 0 || u/s >= g.ow {
+						continue
+					}
+					v += gp[t/s*g.ow+u/s] * wt[ki*k+kj]
+				}
+			}
+			dx[ih*g.w+iw] = v
+		}
+	}
 }
 
 // Params returns weight (and bias when present).

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -95,6 +96,217 @@ func TestDWConv2dGradients(t *testing.T) {
 
 	l2 := NewDWConv2d(rng, 2, 3, 2, 1, false)
 	checkGradients(t, "DWConv2d/s2", l2, tensor.Rand(rng, -1, 1, 1, 2, 6, 6))
+}
+
+// dwConvForwardRef and dwConvBackwardRef are the original naive
+// depthwise loops (minus the backward's old g == 0 skip), kept as the
+// oracle the production kernels must match bit for bit: forward sums taps
+// in (ki, kj) order per output, backward scatters every output over its
+// taps in raster order, into dx and into the accumulated weight grad.
+func dwConvForwardRef(x, wt []float32, n, c, h, w, k, s, p int) []float32 {
+	oh, ow := tensor.ConvOutSize(h, k, s, p), tensor.ConvOutSize(w, k, s, p)
+	out := make([]float32, n*c*oh*ow)
+	for ni := 0; ni < n; ni++ {
+		for ci := 0; ci < c; ci++ {
+			inBase, outBase, wBase := (ni*c+ci)*h*w, (ni*c+ci)*oh*ow, ci*k*k
+			for oi := 0; oi < oh; oi++ {
+				for oj := 0; oj < ow; oj++ {
+					var v float32
+					for ki := 0; ki < k; ki++ {
+						ih := oi*s - p + ki
+						if ih < 0 || ih >= h {
+							continue
+						}
+						for kj := 0; kj < k; kj++ {
+							iw := oj*s - p + kj
+							if iw < 0 || iw >= w {
+								continue
+							}
+							v += x[inBase+ih*w+iw] * wt[wBase+ki*k+kj]
+						}
+					}
+					out[outBase+oi*ow+oj] = v
+				}
+			}
+		}
+	}
+	return out
+}
+
+func dwConvBackwardRef(x, wt, g, dw []float32, n, c, h, w, k, s, p int) []float32 {
+	oh, ow := tensor.ConvOutSize(h, k, s, p), tensor.ConvOutSize(w, k, s, p)
+	dx := make([]float32, len(x))
+	for ni := 0; ni < n; ni++ {
+		for ci := 0; ci < c; ci++ {
+			inBase, outBase, wBase := (ni*c+ci)*h*w, (ni*c+ci)*oh*ow, ci*k*k
+			for oi := 0; oi < oh; oi++ {
+				for oj := 0; oj < ow; oj++ {
+					gv := g[outBase+oi*ow+oj]
+					for ki := 0; ki < k; ki++ {
+						ih := oi*s - p + ki
+						if ih < 0 || ih >= h {
+							continue
+						}
+						for kj := 0; kj < k; kj++ {
+							iw := oj*s - p + kj
+							if iw < 0 || iw >= w {
+								continue
+							}
+							dw[wBase+ki*k+kj] += gv * x[inBase+ih*w+iw]
+							dx[inBase+ih*w+iw] += gv * wt[wBase+ki*k+kj]
+						}
+					}
+				}
+			}
+		}
+	}
+	return dx
+}
+
+// bitsDiff compares raw float bits, so zero signs and infinities count.
+// Two NaNs compare equal whatever their payloads: which operand's payload
+// survives an add is left to the instruction order, not to the kernels.
+func bitsDiff(got, want []float32) string {
+	if len(got) != len(want) {
+		return fmt.Sprintf("length %d vs %d", len(got), len(want))
+	}
+	for i := range got {
+		gn, wn := math.IsNaN(float64(got[i])), math.IsNaN(float64(want[i]))
+		if gn && wn {
+			continue
+		}
+		if gn != wn || math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			return fmt.Sprintf("element %d: got %v (%#08x), want %v (%#08x)",
+				i, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+		}
+	}
+	return ""
+}
+
+// fillAdversarial fills d with values in [-2, 2), exact zeros at every
+// fifth element (ReLU-gated gradients), and — for which > 0 — ±0, NaN or
+// ±Inf at positions that depend on salt.
+func fillAdversarial(rng *rand.Rand, d []float32, which, salt int) {
+	for i := range d {
+		d[i] = rng.Float32()*4 - 2
+		if i%5 == 4 {
+			d[i] = 0
+		}
+	}
+	specials := [][]float32{
+		nil,
+		{float32(math.Copysign(0, -1)), 0, float32(math.Copysign(0, -1))},
+		{float32(math.NaN()), float32(math.Copysign(0, -1))},
+		{float32(math.Inf(1)), float32(math.Inf(-1)), 0},
+	}
+	for i, v := range specials[which] {
+		d[(i*7+3+salt)%len(d)] = v
+	}
+}
+
+// TestDWConv2dMatchesReferenceBits pins the depthwise kernels to the
+// naive loops bit for bit: forward, dx, and dWeight/dBias across two
+// accumulating Backward calls, over prime batch and channel counts,
+// non-square and tiny planes, kernels 1/3/5, strides 1-3, every padding
+// 0..k-1, ±0/NaN/±Inf values, and the benchmark's conv-ring and ctrl-hub
+// shapes.
+func TestDWConv2dMatchesReferenceBits(t *testing.T) {
+	type dims struct{ n, c, h, w int }
+	type cfg struct {
+		dims
+		k, s, p int
+	}
+	var cases []cfg
+	for _, d := range []dims{{3, 5, 1, 1}, {2, 3, 2, 3}, {3, 2, 5, 7}, {1, 7, 8, 6}, {2, 2, 11, 4}} {
+		for _, k := range []int{1, 3, 5} {
+			for s := 1; s <= 3; s++ {
+				for p := 0; p < k; p++ {
+					if d.h+2*p >= k && d.w+2*p >= k {
+						cases = append(cases, cfg{d, k, s, p})
+					}
+				}
+			}
+		}
+	}
+	cases = append(cases,
+		cfg{dims{16, 32, 16, 16}, 3, 1, 1}, // conv-ring
+		cfg{dims{4, 6, 4, 4}, 3, 1, 1},     // ctrl-hub
+	)
+	rng := rand.New(rand.NewSource(41))
+	for ci, c := range cases {
+		for which := 0; which < 4; which++ {
+			label := fmt.Sprintf("n=%d c=%d %dx%d k=%d s=%d p=%d specials=%d",
+				c.n, c.c, c.h, c.w, c.k, c.s, c.p, which)
+			l := NewDWConv2d(rng, c.c, c.k, c.s, c.p, ci%2 == 0)
+			x := tensor.New(c.n, c.c, c.h, c.w)
+			fillAdversarial(rng, x.Data(), which, 0)
+			fillAdversarial(rng, l.Weight.Value.Data(), (which+1)%4, 1)
+			wt := l.Weight.Value.Data()
+			if l.Bias != nil {
+				fillAdversarial(rng, l.Bias.Value.Data(), 0, 0)
+			}
+
+			out := l.Forward(x, true)
+			want := dwConvForwardRef(x.Data(), wt, c.n, c.c, c.h, c.w, c.k, c.s, c.p)
+			if l.Bias != nil {
+				addChannelBias(tensor.FromSlice(want, out.Shape()...), l.Bias.Value)
+			}
+			if diff := bitsDiff(out.Data(), want); diff != "" {
+				t.Fatalf("forward (%s): %s", label, diff)
+			}
+
+			ZeroGrads(l.Params())
+			wantDW := make([]float32, len(wt))
+			var wantDB *tensor.Tensor
+			if l.Bias != nil {
+				wantDB = tensor.New(c.c)
+			}
+			for call := 0; call < 2; call++ {
+				g := tensor.New(out.Shape()...)
+				fillAdversarial(rng, g.Data(), (which+2+call)%4, call)
+				dx := l.Backward(g)
+				wantDX := dwConvBackwardRef(x.Data(), wt, g.Data(), wantDW, c.n, c.c, c.h, c.w, c.k, c.s, c.p)
+				if diff := bitsDiff(dx.Data(), wantDX); diff != "" {
+					t.Fatalf("dx call %d (%s): %s", call, label, diff)
+				}
+				if diff := bitsDiff(l.Weight.Grad.Data(), wantDW); diff != "" {
+					t.Fatalf("dW call %d (%s): %s", call, label, diff)
+				}
+				if l.Bias != nil {
+					accumulateChannelBiasGrad(wantDB, g)
+					if diff := bitsDiff(l.Bias.Grad.Data(), wantDB.Data()); diff != "" {
+						t.Fatalf("dBias call %d (%s): %s", call, label, diff)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDWConv2dBackwardPropagatesNaN: a NaN input under an exactly-zero
+// gradient must still reach the weight gradient (0·NaN = NaN), and an
+// infinite weight must reach dx, matching the reference GEMMs; an old
+// g == 0 skip dropped both.
+func TestDWConv2dBackwardPropagatesNaN(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	l := NewDWConv2d(rng, 2, 3, 1, 1, false)
+	x := tensor.Rand(rng, -1, 1, 1, 2, 3, 3)
+	x.Data()[9+4] = float32(math.NaN()) // channel 1, centre
+	l.Weight.Value.Data()[4] = float32(math.Inf(1))
+	l.Forward(x, true)
+	ZeroGrads(l.Params())
+	dx := l.Backward(tensor.New(1, 2, 3, 3)) // every g is exactly 0
+	dw := l.Weight.Grad.Data()
+	for i, v := range dw {
+		if nan := math.IsNaN(float64(v)); nan != (i >= 9) {
+			t.Errorf("dW[%d] = %v: NaN only in channel 1 expected", i, v)
+		}
+	}
+	for i, v := range dx.Data() {
+		if nan := math.IsNaN(float64(v)); nan != (i < 9) {
+			t.Errorf("dx[%d] = %v: NaN only in channel 0 expected", i, v)
+		}
+	}
 }
 
 func TestLinearGradients(t *testing.T) {

@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -82,6 +84,95 @@ func TestReLUTrainEvalTrainBackward(t *testing.T) {
 		if dx.Data()[i] != want {
 			t.Fatalf("element %d (x=%v): got %v want %v", i, v, dx.Data()[i], want)
 		}
+	}
+}
+
+// reluRef is the original branchy rectifier, kept as the oracle for the
+// branch-free one: the clamped forward output and the pass-through mask.
+func reluRef(capv float32, xd []float32) (out []float32, pass []bool) {
+	out, pass = make([]float32, len(xd)), make([]bool, len(xd))
+	for i, v := range xd {
+		pass[i] = v > 0 && (capv <= 0 || v < capv)
+		switch {
+		case v <= 0:
+			out[i] = 0
+		case capv > 0 && v >= capv:
+			out[i] = capv
+		default:
+			out[i] = v
+		}
+	}
+	return out, pass
+}
+
+// checkReLUBits runs a train forward and a backward of r on x and grad
+// and compares every output bit, NaN payloads included, with reluRef.
+func checkReLUBits(t *testing.T, label string, r *ReLU, x, grad []float32) {
+	t.Helper()
+	wantOut, pass := reluRef(r.Cap, x)
+	out := r.Forward(tensor.FromSlice(x, len(x)), true)
+	dx := r.Backward(tensor.FromSlice(grad, len(grad)))
+	for i, v := range x {
+		if got, want := math.Float32bits(out.Data()[i]), math.Float32bits(wantOut[i]); got != want {
+			t.Errorf("%s forward x=%v (%#08x): got %#08x want %#08x", label, v, math.Float32bits(v), got, want)
+		}
+		want := uint32(0)
+		if pass[i] {
+			want = math.Float32bits(grad[i])
+		}
+		if got := math.Float32bits(dx.Data()[i]); got != want {
+			t.Errorf("%s backward x=%v grad=%v: got %#08x want %#08x", label, v, grad[i], got, want)
+		}
+	}
+}
+
+// TestReLUMatchesReferenceBits pins the branch-free rectifier to the
+// original switch on ±0, NaN, ±Inf, the ReLU6 cap and its neighbours,
+// and denormals, for both NewReLU and NewReLU6.
+func TestReLUMatchesReferenceBits(t *testing.T) {
+	nan := math.Float32frombits(0x7fc00001) // a payload the backward must carry
+	x := []float32{
+		0, float32(math.Copysign(0, -1)), float32(math.NaN()), -nan,
+		float32(math.Inf(1)), float32(math.Inf(-1)),
+		6, math.Nextafter32(6, 7), math.Nextafter32(6, 0), -6,
+		math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32,
+		math.Float32frombits(0x007fffff), math.Float32frombits(0x807fffff),
+		math.MaxFloat32, -math.MaxFloat32, 1, -1, 0.5, 5.999, 7,
+	}
+	grad := make([]float32, len(x))
+	for i := range grad {
+		grad[i] = float32(i) - 7.5
+	}
+	grad[1], grad[2], grad[3] = nan, float32(math.Copysign(0, -1)), float32(math.Inf(-1))
+	grad[len(grad)-3] = nan // x = 1 passes the NaN through
+	for _, c := range []struct {
+		name string
+		r    *ReLU
+	}{{"ReLU", NewReLU()}, {"ReLU6", NewReLU6()}, {"Cap0", &ReLU{Cap: 0}}} {
+		checkReLUBits(t, c.name, c.r, x, grad)
+	}
+}
+
+// TestReLUMaskReuseAcrossBatches drives the reused mask buffer: a train
+// forward on a large batch, then on a smaller and a larger one, each
+// followed by a bit-exact Backward; then an eval forward must still
+// invalidate the mask and a wrong-length grad must still be rejected.
+func TestReLUMaskReuseAcrossBatches(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for _, r := range []*ReLU{NewReLU(), NewReLU6()} {
+		for _, n := range []int{64, 9, 80} {
+			x := tensor.Rand(rng, -8, 8, n).Data()
+			grad := tensor.Rand(rng, -1, 1, n).Data()
+			checkReLUBits(t, fmt.Sprintf("cap=%v n=%d", r.Cap, n), r, x, grad)
+		}
+		r.Forward(tensor.Rand(rng, -1, 1, 2, 3), false)
+		mustPanic(t, "before Forward(train=true)", func() {
+			r.Backward(tensor.Rand(rng, -1, 1, 2, 3))
+		})
+		r.Forward(tensor.Rand(rng, -1, 1, 2, 3), true)
+		mustPanic(t, "stale forward", func() {
+			r.Backward(tensor.Rand(rng, -1, 1, 4, 4))
+		})
 	}
 }
 

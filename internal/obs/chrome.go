@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"os"
+	"path/filepath"
 	"sort"
 )
 
@@ -89,16 +90,28 @@ func WriteChromeTrace(w io.Writer, order []string, byTrack map[string][]Span) er
 	return enc.Encode(trace)
 }
 
-// WriteChromeTraceFile writes the collector's contents to path.
+// WriteChromeTraceFile writes the collector's contents to path. The trace
+// is written to a hidden temp file in the same directory and renamed into
+// place, so a reader polling for path (or a crash mid-dump) never sees a
+// partial file.
 func WriteChromeTraceFile(path string, c *Collector) error {
 	order, byTrack := c.Tracks()
-	f, err := os.Create(path)
+	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}
-	if err := WriteChromeTrace(f, order, byTrack); err != nil {
-		f.Close()
-		return err
+	err = f.Chmod(0o644)
+	if err == nil {
+		err = WriteChromeTrace(f, order, byTrack)
 	}
-	return f.Close()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+	}
+	return err
 }

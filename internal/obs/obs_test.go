@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -177,6 +179,42 @@ func TestChromeTraceExport(t *testing.T) {
 	}
 	if sawX != 3 {
 		t.Fatalf("got %d X events, want 3", sawX)
+	}
+}
+
+// TestChromeTraceFileRenamedIntoPlace: the file dump goes through a
+// hidden temp file and a rename, so the directory never holds a partial
+// trace-*.json and no temp file is left behind, even when overwriting.
+func TestChromeTraceFileRenamedIntoPlace(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "trace-epoch0-dev0.json")
+	c := NewCollector()
+	c.Add("dev0", []Span{{Name: "teacher_fwd", Cat: sim.CatTeacherFwd, Start: 1, Dur: 1e6}})
+	for i := 0; i < 2; i++ {
+		if err := WriteChromeTraceFile(path, c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != filepath.Base(path) {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Fatalf("directory holds %v, want only %s", names, filepath.Base(path))
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !json.Valid(raw) {
+		t.Fatalf("trace file is not valid JSON: %q", raw)
+	}
+	if err := WriteChromeTraceFile(filepath.Join(dir, "missing", "t.json"), c); err == nil {
+		t.Fatal("writing into a missing directory succeeded")
 	}
 }
 
